@@ -79,8 +79,8 @@ def _add_entropy_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--entropy-chunk", type=int, default=FedSZConfig.entropy_chunk,
                         help="max symbols per independently-decodable Huffman chunk")
     parser.add_argument("--entropy-workers", type=int, default=FedSZConfig.entropy_workers,
-                        help="Huffman decode threads (1 = the sequential reference "
-                             "decoder, >1 = banded vectorized decoding)")
+                        help="Huffman decode bands run in parallel (1 = one "
+                             "in-process band); band width picks the kernel")
 
 
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:

@@ -7,7 +7,8 @@ coder over non-negative integer symbols:
 * tree construction with :mod:`heapq` on the symbol histogram,
 * code lengths limited to :data:`MAX_CODE_LENGTH` bits (package-merge style
   rebalancing by clamping and re-normalizing Kraft mass),
-* vectorized encoding (all code bits emitted with NumPy in one shot),
+* vectorized encoding (each code is scattered at its cumulative bit offset
+  into big-endian 64-bit words, a few NumPy passes per group of chunks),
 * table-driven decoding (a flat lookup table indexed by ``MAX_CODE_LENGTH``-bit
   windows, the classic fast canonical decoder).
 
@@ -30,21 +31,25 @@ any chunk boundary.  All integers little-endian::
     u64   total bit count
     u8[]  packed code bits (MSB-first)
 
-The chunk index is what makes the decode side parallel *and* vectorizable:
+The chunk index is what makes the decode side parallel *and* vectorizable.
+The worker count sets the number of bands; the band's width (its chunk
+count) picks the kernel:
 
-* ``max_workers=1`` (or ``backend="serial"``) decodes with the strictly
-  sequential per-symbol reference loop (the deterministic baseline the tests
-  pin the fast path against),
-* ``max_workers>1`` splits the chunk list into bands and dispatches the bands
-  to the configured :class:`~repro.utils.parallel.ExecutionBackend` (threads
-  or processes).  Each band is a self-contained, picklable work unit — the
-  worker receives its slice of the packed bit stream, the code-length table,
-  and the band's chunk index, and *returns* the decoded symbol band rather
-  than mutating a shared output array, so the same task function runs
-  unchanged on a thread pool or across a process boundary.  Inside a band all
-  chunks decode simultaneously as one vectorized NumPy "row walk": each step
-  advances every chunk's bit cursor by one decoded symbol, so the sequential
-  dependency only spans a chunk, not the stream.
+* one worker (or ``backend="serial"``) decodes the whole stream as one band
+  in-process; more workers split the chunk list into bands of at least
+  :data:`_MIN_VECTOR_CHUNKS` chunks and dispatch them to the configured
+  :class:`~repro.utils.parallel.ExecutionBackend` (threads or processes).
+  Each band is a self-contained, picklable work unit — the worker receives
+  its slice of the packed bit stream, the code-length table, and the band's
+  chunk index, and *returns* the decoded symbol band rather than mutating a
+  shared output array, so the same task function runs unchanged on a thread
+  pool or across a process boundary,
+* a band of at least :data:`_MIN_VECTOR_CHUNKS` chunks decodes as one
+  vectorized NumPy "row walk": each step advances every chunk's bit cursor
+  by one decoded symbol, so the sequential dependency only spans a chunk,
+  not the stream.  A narrower band runs the per-symbol scalar loop
+  (:meth:`HuffmanCoder._decode_scalar`, also the tests' reference), which is
+  faster there because the walk's per-step cost does not depend on width.
 
 A corrupted or truncated payload always raises :class:`ValueError`: every
 header field is bounds-checked, the CRC covers the whole payload, an unused
@@ -87,9 +92,17 @@ DEFAULT_CHUNK_SYMBOLS = 1 << 16
 _TARGET_CHUNKS = 512
 _MIN_CHUNK_SYMBOLS = 1024
 
-#: Below this many chunks the vectorized row walk is narrower than its own
-#: per-step dispatch overhead; fall back to the scalar reference loop.
+#: Below this many chunks a band decodes faster with the scalar loop than with
+#: the vectorized row walk: the walk costs a fixed few NumPy calls per step
+#: whatever the band's width, the scalar loop a fixed cost per symbol.  Set
+#: from the measured crossover (``benchmarks/bench_entropy.py``); bands of
+#: parallel decodes are never cut narrower than this.
 _MIN_VECTOR_CHUNKS = 8
+
+#: Symbols (encode) or packed stream bytes (decode) one vectorized NumPy pass
+#: handles at a time: enough to amortize per-call dispatch, few enough to stay
+#: cache-resident and to bound the scratch.
+_BLOCK = 1 << 15
 
 _MAGIC = b"HUF3"
 _HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
@@ -192,7 +205,7 @@ def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per-code window ranges ``[code << pad, (code + 1) << pad)`` abut exactly
     starting at 0 — the whole table is two :func:`numpy.repeat` calls.  Window
     values past the covered range (possible when Kraft mass was clamped away)
-    keep length 0, the decoder's "no such code" trap.
+    keep length 0 and symbol -1, the decoders' "no such code" traps.
     """
     used = np.flatnonzero(lengths)
     if used.size == 0:
@@ -204,8 +217,8 @@ def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covered = int(spans.sum())
     if covered > (1 << MAX_CODE_LENGTH):
         raise _corrupt("code-length table violates the Kraft inequality")
-    table_sym = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
-    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
+    table_sym = np.full(1 << MAX_CODE_LENGTH, -1, dtype=np.int64)
+    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
     table_sym[:covered] = np.repeat(order, spans)
     table_len[:covered] = np.repeat(lengths[order], spans)
     return table_sym, table_len
@@ -238,6 +251,51 @@ def _byte_windows(bit_bytes: np.ndarray, pad_bytes: int) -> np.ndarray:
     return (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
 
 
+#: Right shifts that cut the 16-bit windows at a byte's 8 bit positions (MSB
+#: first) out of that byte's 24-bit window.
+_PHASE_SHIFTS = np.arange(8, 0, -1, dtype=np.int64)
+
+
+class _WindowTables:
+    """One code table's window tables, in the form each decode kernel reads.
+
+    ``sym`` / ``length`` are the shared read-only arrays of
+    :func:`_decode_tables_cached`, which the row walk gathers from.  The
+    scalar loop indexes Python lists instead; :meth:`lists` converts once, on
+    first use, and keeps them for this holder's lifetime, so a streaming
+    consumer pays the conversion once per stream rather than once per burst.
+    """
+
+    def __init__(self, length_table: bytes) -> None:
+        self.length_table = length_table
+        self.sym, self.length = _decode_tables_cached(length_table)
+        self._lists: "tuple[list, list] | None" = None
+
+    def lists(self) -> "tuple[list, list]":
+        if self._lists is None:
+            self._lists = (self.sym.tolist(), self.length.tolist())
+        return self._lists
+
+
+def _decode_band(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
+                 sym_counts: np.ndarray, chunk_ends: np.ndarray,
+                 tables: _WindowTables) -> np.ndarray:
+    """Decode one band of consecutive chunks; its width picks the kernel.
+
+    Offsets are relative to ``bit_bytes``.  A band of at least
+    :data:`_MIN_VECTOR_CHUNKS` chunks runs the vectorized row walk, a
+    narrower one the scalar loop.
+    """
+    if bit_offsets.size >= _MIN_VECTOR_CHUNKS:
+        return HuffmanCoder._decode_band_vectorized(
+            bit_bytes, bit_offsets, sym_counts, chunk_ends, tables.sym, tables.length)
+    out = np.empty(int(sym_counts.sum()), dtype=np.int64)
+    sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
+    HuffmanCoder._decode_scalar(bit_bytes, bit_offsets, sym_counts, sym_starts,
+                                chunk_ends, *tables.lists(), out)
+    return out
+
+
 def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndarray]") -> np.ndarray:
     """Decode one band of chunks from its slice of the packed bit stream.
 
@@ -251,23 +309,42 @@ def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndar
     builds them once per worker instead of once per band.
     """
     bit_slice, length_table, bit_offsets, sym_counts, chunk_ends = task
-    table_sym, table_len = _decode_tables_cached(length_table)
-    bit_bytes = np.frombuffer(bit_slice, dtype=np.uint8)
-    sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
-    out = np.empty(int(sym_counts.sum()), dtype=np.int64)
-    if bit_offsets.size < _MIN_VECTOR_CHUNKS:
-        HuffmanCoder._decode_scalar(bit_bytes, bit_offsets, sym_counts, sym_starts,
-                                    chunk_ends, table_sym, table_len, out)
-        return out
-    steps_cap = int(sym_counts.max())
-    # Pad the byte windows so a corrupt stream can drift up to
-    # MAX_CODE_LENGTH bits per step past the end without an out-of-bounds
-    # gather; the drift itself is caught by the chunk-boundary check.
-    w24 = _byte_windows(bit_bytes, 3 + (steps_cap * MAX_CODE_LENGTH + 7) // 8)
-    comb = (table_sym << 5) | table_len
-    HuffmanCoder._decode_band_vectorized(w24, comb, bit_offsets, sym_counts,
-                                         sym_starts, chunk_ends, out)
-    return out
+    return _decode_band(np.frombuffer(bit_slice, dtype=np.uint8), bit_offsets,
+                        sym_counts, chunk_ends, _WindowTables(length_table))
+
+
+def _decode_chunks(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
+                   sym_counts: np.ndarray, chunk_ends: np.ndarray,
+                   tables: _WindowTables, backend: ExecutionBackend,
+                   max_workers: "int | None") -> np.ndarray:
+    """Decode consecutive chunks (offsets relative to ``bit_bytes``).
+
+    The worker count sets the number of bands, each at least
+    :data:`_MIN_VECTOR_CHUNKS` chunks wide.  One band decodes in-process;
+    several fan out over ``backend`` as :func:`_decode_band_task` units.  On
+    a GIL-bound backend never split finer than the core count — a band's
+    cost is dominated by its per-step dispatch overhead, so extra narrower
+    bands only help while they actually run concurrently; a process pool's
+    workers always do, so there the knob is honoured.
+    """
+    n_chunks = bit_offsets.size
+    workers = backend.resolve_workers(max_workers, n_chunks)
+    cap = workers if not backend.gil_bound else min(workers, os.cpu_count() or 1)
+    n_bands = max(1, min(cap, n_chunks // _MIN_VECTOR_CHUNKS))
+    if n_bands == 1:
+        return _decode_band(bit_bytes, bit_offsets, sym_counts, chunk_ends, tables)
+    edges = np.linspace(0, n_chunks, n_bands + 1).astype(int)
+    tasks = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # rebase the band onto its own byte slice so the task is a small,
+        # self-contained (and cheaply picklable) unit of work
+        byte0 = int(bit_offsets[lo]) >> 3
+        byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
+        tasks.append((bit_bytes[byte0:byte_hi].tobytes(), tables.length_table,
+                      bit_offsets[lo:hi] - (byte0 << 3), sym_counts[lo:hi],
+                      chunk_ends[lo:hi] - (byte0 << 3)))
+    return np.concatenate(backend.map(_decode_band_task, tasks,
+                                      workers=workers, chunksize=1))
 
 
 class ChunkBandConsumer:
@@ -304,7 +381,7 @@ class ChunkBandConsumer:
         self._crc_pos = _PREFIX_LEN  # next byte offset to fold into the CRC
         self._crc_stored: int | None = None
         self._header: "tuple | None" = None  # (lengths, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at)
-        self._tables: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._tables: "_WindowTables | None" = None
         self._out: "np.ndarray | None" = None
         self._next_chunk = 0
         self._finished: "np.ndarray | None" = None
@@ -450,7 +527,7 @@ class ChunkBandConsumer:
         self._header = (lengths, bit_offsets, sym_counts, sym_starts,
                         chunk_ends, count, offset)
         if count:
-            self._tables = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
+            self._tables = _WindowTables(lengths.astype(np.uint8).tobytes())
             self._out = np.empty(count, dtype=np.int64)
 
     def _ready_chunks(self) -> int:
@@ -468,65 +545,59 @@ class ChunkBandConsumer:
         lo, hi = self._next_chunk, self._ready_chunks()
         if hi <= lo:
             return
-        lengths, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at = self._header
-        table_sym, table_len = self._tables
-        workers = self.backend.resolve_workers(self.max_workers, hi - lo)
-        if workers > 1 and hi - lo >= 2 * _MIN_VECTOR_CHUNKS:
-            # wide burst (a large feed or a fast wire): band it out exactly
-            # like the non-streaming parallel decode
-            cap = workers if not self.backend.gil_bound else \
-                min(workers, os.cpu_count() or 1)
-            n_bands = max(1, min(cap, (hi - lo) // _MIN_VECTOR_CHUNKS))
-            edges = np.linspace(lo, hi, n_bands + 1).astype(int)
-            length_table = lengths.astype(np.uint8).tobytes()
-            bands = [(int(edges[b]), int(edges[b + 1])) for b in range(n_bands)
-                     if edges[b] < edges[b + 1]]
-            tasks = []
-            for b_lo, b_hi in bands:
-                byte0 = int(bit_offsets[b_lo]) >> 3
-                byte_hi = (int(chunk_ends[b_hi - 1]) + 7) >> 3
-                tasks.append((bytes(self._buf.view(bits_at + byte0, bits_at + byte_hi)),
-                              length_table,
-                              bit_offsets[b_lo:b_hi] - (byte0 << 3),
-                              sym_counts[b_lo:b_hi],
-                              chunk_ends[b_lo:b_hi] - (byte0 << 3)))
-            decoded = self.backend.map(_decode_band_task, tasks,
-                                       workers=workers, chunksize=1)
-            for (b_lo, b_hi), band_out in zip(bands, decoded):
-                base = int(sym_starts[b_lo])
-                self._out[base:base + band_out.size] = band_out
-        else:
-            # narrow burst: rebase the ready band onto its zero-copy window
-            # and run the in-process kernels directly
-            byte0 = int(bit_offsets[lo]) >> 3
-            byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
-            bit_bytes = np.frombuffer(
-                self._buf.view(bits_at + byte0, bits_at + byte_hi), dtype=np.uint8)
-            rel_offsets = bit_offsets[lo:hi] - (byte0 << 3)
-            rel_ends = chunk_ends[lo:hi] - (byte0 << 3)
-            band_starts = sym_starts[lo:hi] - int(sym_starts[lo])
-            band_out = np.empty(int(sym_counts[lo:hi].sum()), dtype=np.int64)
-            if hi - lo < _MIN_VECTOR_CHUNKS:
-                HuffmanCoder._decode_scalar(bit_bytes, rel_offsets, sym_counts[lo:hi],
-                                            band_starts, rel_ends, table_sym,
-                                            table_len, band_out)
-            else:
-                steps_cap = int(sym_counts[lo:hi].max())
-                w24 = _byte_windows(bit_bytes,
-                                    3 + (steps_cap * MAX_CODE_LENGTH + 7) // 8)
-                comb = (table_sym << 5) | table_len
-                HuffmanCoder._decode_band_vectorized(
-                    w24, comb, rel_offsets, sym_counts[lo:hi], band_starts,
-                    rel_ends, band_out)
-            base = int(sym_starts[lo])
-            self._out[base:base + band_out.size] = band_out
+        _, bit_offsets, sym_counts, sym_starts, chunk_ends, _, bits_at = self._header
+        # rebase the ready chunks onto their zero-copy window of the buffer
+        # and decode them exactly like the non-streaming decode would
+        byte0 = int(bit_offsets[lo]) >> 3
+        byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
+        bit_bytes = np.frombuffer(self._buf.view(bits_at + byte0, bits_at + byte_hi),
+                                  dtype=np.uint8)
+        decoded = _decode_chunks(bit_bytes, bit_offsets[lo:hi] - (byte0 << 3),
+                                 sym_counts[lo:hi], chunk_ends[lo:hi] - (byte0 << 3),
+                                 self._tables, self.backend, self.max_workers)
+        base = int(sym_starts[lo])
+        self._out[base:base + decoded.size] = decoded
         self._next_chunk = hi
 
 
-#: Bytes of vectorized-emission scratch per (symbol, bit-position) matrix
-#: cell: the ``shift`` int64 (8) + ``valid`` bool (1) + ``shifted`` uint64 (8)
-#: + ``bits`` uint8 (1) temporaries of the bit-emission kernel.
-_EMIT_SCRATCH_PER_CELL = 18
+#: Bytes of bit-packing scratch per coded symbol: the gathered ``codes``, the
+#: running bit ``ends`` (reused as the shifts), ``first_word``, ``word`` and
+#: the ``placed`` codes (8 each), plus the word-change mask (1) of
+#: :func:`_pack_words`.
+_EMIT_SCRATCH_PER_SYMBOL = 41
+
+
+def _pack_words(codes: np.ndarray, lengths: np.ndarray,
+                lead: int, lead_bits: int) -> np.ndarray:
+    """Pack codes MSB-first into ``uint64`` words (native byte order).
+
+    ``lead`` holds ``lead_bits`` (< 8) bits that precede the first code.
+    Each code lands at its cumulative bit offset: the bits that fall in the
+    word holding the code's last bit are shifted into place, and all codes
+    ending in one word are OR-ed together by one
+    :func:`numpy.bitwise_or.reduceat`.  A code that spans a word boundary
+    also ORs its high bits into the previous word (at most one code spans
+    each boundary).  Codes are at most :data:`MAX_CODE_LENGTH` < 64 bits, so
+    every word holds some code's last bit and the reduction yields them all.
+    """
+    ends = np.cumsum(lengths)
+    ends += lead_bits
+    first_word = ends - lengths
+    first_word >>= 6
+    ends -= 1                        # each code's last bit
+    word = ends >> 6
+    ends &= 63
+    np.subtract(63, ends, out=ends)  # left shift that puts the last bit in place
+    shift = ends.view(np.uint64)
+    placed = codes << shift
+    heads = np.flatnonzero(word[1:] != word[:-1])
+    heads += 1
+    words = np.bitwise_or.reduceat(placed, np.concatenate(([0], heads)))
+    spans = np.flatnonzero(first_word != word)
+    words[word[spans] - 1] |= codes[spans] >> (np.uint64(64) - shift[spans])
+    if lead_bits:
+        words[0] |= np.uint64(lead << (64 - lead_bits))
+    return words
 
 
 class ChunkBandProducer:
@@ -540,13 +611,13 @@ class ChunkBandProducer:
     :attr:`pinned_header` and :attr:`stream_length` are available before any
     band exists.  :meth:`bands` then emits each chunk's packed code bits the
     moment that chunk's symbols are coded, in chunk order, cut at byte
-    boundaries so the concatenated bands are bit-identical to the batch
-    encoder's single :func:`numpy.packbits` pass.
+    boundaries so the concatenated bands are the stream's packed bit stream.
 
-    Packing per chunk instead of per stream also bounds the vectorized
-    emission scratch (the ``symbols x max_code_length`` bit matrix) to one
-    chunk: :attr:`peak_scratch_bytes` reports the analytic high-water mark,
-    which is what the round engine surfaces as encode scratch.
+    Codes are packed in groups of whole chunks of about :data:`_BLOCK`
+    symbols (:func:`_pack_words`), which amortizes NumPy's per-call cost over
+    small chunks and bounds the packing scratch to one group:
+    :attr:`peak_scratch_bytes` reports the analytic high-water mark, which is
+    what the round engine surfaces as encode scratch.
 
     The one field that cannot be pinned early is the stream CRC-32 at byte
     offset 4: it covers the packed bands, so :meth:`magic_and_crc` only
@@ -600,15 +671,14 @@ class ChunkBandProducer:
         if pinned and int(self._sym_lengths.min()) == 0:
             raise ValueError("pinned code-length table assigns no code to a "
                              "present symbol")
-        self._max_len = int(lengths.max())
         bit_ends = np.cumsum(self._sym_lengths)
         total_bits = int(bit_ends[-1])
 
         chunk = min(chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
         self._starts = starts = np.arange(0, count, chunk, dtype=np.int64)
         self.n_chunks = starts.size
-        offsets = np.zeros(starts.size, dtype=np.uint64)
-        offsets[1:] = bit_ends[starts[1:] - 1].astype(np.uint64)
+        self._offsets = offsets = np.zeros(starts.size, dtype=np.int64)
+        offsets[1:] = bit_ends[starts[1:] - 1]
         index = np.empty((starts.size, 2), dtype="<u8")
         index[:, 0] = offsets
         index[:, 1] = np.minimum(chunk, count - starts).astype(np.uint64)
@@ -626,8 +696,9 @@ class ChunkBandProducer:
         self._total_bits = total_bits
         self.stream_length = _PREFIX_LEN + len(self.pinned_header) + \
             (total_bits + 7) // 8
-        widest = int(index[:, 1].max())
-        self.peak_scratch_bytes = widest * self._max_len * _EMIT_SCRATCH_PER_CELL
+        self._group = max(1, _BLOCK // chunk)  # chunks packed per pass
+        widest = min(self._group * chunk, count)
+        self.peak_scratch_bytes = widest * _EMIT_SCRATCH_PER_SYMBOL
 
     def bands(self):
         """Yield each chunk's packed code bits the moment the chunk is coded.
@@ -641,34 +712,34 @@ class ChunkBandProducer:
         if self._count == 0:
             return
         crc = zlib.crc32(self.pinned_header)
-        carry = np.zeros(0, dtype=np.uint8)
-        bitpos = np.arange(self._max_len, dtype=np.int64)
-        emitted = 0
-        for k in range(self.n_chunks):
-            s0 = int(self._starts[k])
-            s1 = int(self._starts[k + 1]) if k + 1 < self.n_chunks else self._count
-            chunk_lens = self._sym_lengths[s0:s1]
-            chunk_codes = self._codes[self._symbols[s0:s1]]
-            shift = chunk_lens[:, None] - 1 - bitpos[None, :]
-            valid = shift >= 0
-            shifted = chunk_codes[:, None] >> np.maximum(shift, 0).astype(np.uint64)
-            bits = (shifted & np.uint64(1)).astype(np.uint8)[valid]
-            if carry.size:
-                bits = np.concatenate([carry, bits])
-            if k + 1 < self.n_chunks:
-                cut = bits.size & ~7  # pack whole bytes, carry the remainder
-                band = np.packbits(bits[:cut]).tobytes()
-                carry = bits[cut:]
-                emitted += cut
-            else:
-                band = np.packbits(bits).tobytes()
-                emitted += bits.size
-                carry = np.zeros(0, dtype=np.uint8)
-            crc = zlib.crc32(band, crc)
-            self._crc = crc
-            yield band
-        if emitted != self._total_bits:
-            raise RuntimeError("producer emitted a different bit count than "
+        n_chunks, offsets = self.n_chunks, self._offsets
+        # band k ends at the last whole byte of chunk k; the final band at
+        # the stream's last (zero-padded) byte
+        cuts = np.append(offsets[1:] >> 3, (self._total_bits + 7) >> 3)
+        tail = emitted = 0
+        for g0 in range(0, n_chunks, self._group):
+            g1 = min(g0 + self._group, n_chunks)
+            s0 = int(self._starts[g0])
+            s1 = int(self._starts[g1]) if g1 < n_chunks else self._count
+            # the group starts at the byte holding its first bit; the bits of
+            # that byte the previous group already coded lead the first code
+            byte0, lead_bits = int(offsets[g0]) >> 3, int(offsets[g0]) & 7
+            words = _pack_words(self._codes[self._symbols[s0:s1]],
+                                self._sym_lengths[s0:s1],
+                                tail >> (8 - lead_bits), lead_bits)
+            packed = words.byteswap(inplace=True).view(np.uint8)
+            pos = 0
+            for k in range(g0, g1):
+                end = int(cuts[k]) - byte0
+                band = packed[pos:end].tobytes()
+                pos = end
+                emitted += len(band)
+                crc = zlib.crc32(band, crc)
+                self._crc = crc
+                yield band
+            tail = int(packed[pos]) if pos < packed.size else 0
+        if emitted != (self._total_bits + 7) >> 3:
+            raise RuntimeError("producer emitted a different byte count than "
                                "the pinned index declares")
         self._bands_done = True
 
@@ -704,12 +775,14 @@ class HuffmanCoder:
 
     ``chunk_size`` caps the number of symbols per chunk (the encoder may pick
     smaller chunks for short streams, see :data:`_TARGET_CHUNKS`).
-    ``max_workers`` is the default decode concurrency: ``1`` selects the
-    sequential reference decoder, larger values (or ``None`` for the backend
-    default) the banded vectorized decoder.  ``backend`` names the
+    ``max_workers`` is the default decode concurrency: it sets the number of
+    bands (``1`` decodes the stream as one band in-process, ``None`` takes
+    the backend default), and each band's width picks its kernel — the
+    vectorized row walk for bands of at least :data:`_MIN_VECTOR_CHUNKS`
+    chunks, the scalar loop for narrower ones.  ``backend`` names the
     :class:`~repro.utils.parallel.ExecutionBackend` the bands are dispatched
-    on (``"serial"`` always runs the reference decoder).  Every combination
-    produces bit-identical symbol arrays; instances are stateless per call,
+    on (``"serial"`` always decodes one band).  Every combination produces
+    bit-identical symbol arrays; instances are stateless per call,
     thread-safe, and picklable.
     """
 
@@ -733,11 +806,11 @@ class HuffmanCoder:
                lengths: "np.ndarray | None" = None) -> bytes:
         """Encode ``symbols`` (any integer dtype, values >= 0) to bytes.
 
-        The stream is assembled chunk by chunk through
-        :class:`ChunkBandProducer` into one preallocated buffer: packing per
-        chunk bounds the vectorized-emission scratch to a single chunk's bit
-        matrix instead of the whole stream's, and the single output buffer
-        replaces the former chain of intermediate ``bytes`` concatenations.
+        The stream is assembled band by band through
+        :class:`ChunkBandProducer` into one preallocated buffer: packing a
+        group of chunks at a time bounds the packing scratch to one group
+        instead of the whole stream, and the single output buffer replaces
+        the former chain of intermediate ``bytes`` concatenations.
         ``lengths`` optionally pins a code-length table from a previous build
         (warm codebook reuse), skipping the histogram + tree construction.
         """
@@ -839,72 +912,31 @@ class HuffmanCoder:
         """Decode a byte string produced by :meth:`encode` back to ``int64``.
 
         ``max_workers`` and ``backend`` override the instance defaults for
-        this call; one worker (or the ``serial`` backend) runs the sequential
-        reference decoder, more the banded vectorized one (identical output
-        either way).
+        this call.  Workers set the number of bands, band width picks the
+        kernel; the output is identical either way.
         """
         lengths, index, count, total_bits, bits_at = self._parse_header(payload)
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-
-        n_chunks = index.shape[0]
         bit_offsets = index[:, 0]
-        sym_counts = index[:, 1]
-        sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
         chunk_ends = np.concatenate([bit_offsets[1:], [total_bits]])
-        bit_bytes = np.frombuffer(payload, dtype=np.uint8, offset=bits_at)
-
-        exec_backend = self.backend if backend is None else get_backend(backend)
-        workers = self.max_workers if max_workers is None else max_workers
-        workers = exec_backend.resolve_workers(workers, n_chunks)
-        if workers == 1 or n_chunks < _MIN_VECTOR_CHUNKS:
-            table_sym, table_len = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
-            out = np.empty(count, dtype=np.int64)
-            self._decode_scalar(bit_bytes, bit_offsets, sym_counts, sym_starts,
-                                chunk_ends, table_sym, table_len, out)
-            return out
-
-        # Band the chunks and fan the bands out over the execution backend.
-        # On a GIL-bound backend never split finer than the core count — a
-        # band's cost is dominated by its per-step dispatch overhead, so extra
-        # narrower bands only help while they actually run concurrently; a
-        # process pool's workers always do, so there the knob is honoured.
-        cap = workers if not exec_backend.gil_bound else \
-            min(workers, os.cpu_count() or 1)
-        n_bands = max(1, min(cap, n_chunks // _MIN_VECTOR_CHUNKS))
-        edges = np.linspace(0, n_chunks, n_bands + 1).astype(int)
-        length_table = lengths.astype(np.uint8).tobytes()
-
-        tasks = []
-        bands = [(int(edges[b]), int(edges[b + 1])) for b in range(n_bands)
-                 if edges[b] < edges[b + 1]]
-        for lo, hi in bands:
-            # rebase the band onto its own byte slice so the task is a small,
-            # self-contained (and cheaply picklable) unit of work
-            byte0 = int(bit_offsets[lo]) >> 3
-            byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
-            tasks.append((bit_bytes[byte0:byte_hi].tobytes(), length_table,
-                          bit_offsets[lo:hi] - (byte0 << 3),
-                          sym_counts[lo:hi],
-                          chunk_ends[lo:hi] - (byte0 << 3)))
-        decoded_bands = exec_backend.map(_decode_band_task, tasks,
-                                         workers=workers, chunksize=1)
-        out = np.empty(count, dtype=np.int64)
-        for (lo, hi), band_out in zip(bands, decoded_bands):
-            base = int(sym_starts[lo])
-            out[base:base + band_out.size] = band_out
-        return out
+        return _decode_chunks(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
+                              bit_offsets, index[:, 1], chunk_ends,
+                              _WindowTables(lengths.astype(np.uint8).tobytes()),
+                              self.backend if backend is None else get_backend(backend),
+                              self.max_workers if max_workers is None else max_workers)
 
     # ------------------------------------------------------------------
     @staticmethod
     def _decode_scalar(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
                        sym_counts: np.ndarray, sym_starts: np.ndarray,
-                       chunk_ends: np.ndarray, table_sym: np.ndarray,
-                       table_len: np.ndarray, out: np.ndarray) -> None:
-        """Sequential per-symbol reference decoder (``max_workers=1``)."""
+                       chunk_ends: np.ndarray, tbl_sym: list,
+                       tbl_len: list, out: np.ndarray) -> None:
+        """Sequential per-symbol decoder: the kernel for narrow bands and the
+        tests' reference.  ``tbl_sym`` / ``tbl_len`` are the window tables as
+        Python lists (:meth:`_WindowTables.lists`).
+        """
         w24 = _byte_windows(bit_bytes, 3)
-        tbl_sym = table_sym.tolist()
-        tbl_len = table_len.tolist()
         for c in range(bit_offsets.size):
             start, end = int(bit_offsets[c]), int(chunk_ends[c])
             n_syms = int(sym_counts[c])
@@ -928,54 +960,53 @@ class HuffmanCoder:
             out[base:base + n_syms] = decoded
 
     @staticmethod
-    def _decode_band_vectorized(w24: np.ndarray, comb: np.ndarray,
-                                bit_offsets: np.ndarray, sym_counts: np.ndarray,
-                                sym_starts: np.ndarray, chunk_ends: np.ndarray,
-                                out: np.ndarray) -> None:
+    def _decode_band_vectorized(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
+                                sym_counts: np.ndarray, chunk_ends: np.ndarray,
+                                table_sym: np.ndarray, table_len: np.ndarray
+                                ) -> np.ndarray:
         """Decode one band of chunks as a vectorized row walk.
 
-        Every step advances all chunk cursors by one symbol: gather the 16-bit
-        window under each cursor, look up ``(symbol << 5) | length`` in the
-        combined table, store the row, advance.  An unused window entry has
-        length 0, so a corrupt chunk's cursor stalls (or drifts) and fails the
-        final boundary comparison.
+        One pass over the band's bytes tabulates the code length starting at
+        every bit position.  The walk then advances all chunk cursors by one
+        symbol per step with two NumPy calls (gather the lengths under the
+        cursors, add) and records every cursor.  Last, the symbols are looked
+        up from the recorded cursors' windows, written chunk-major.
+
+        Every chunk but the band's last holds ``sym_counts.max()`` symbols
+        (the header validation guarantees it); the short last chunk keeps
+        walking harmlessly and its surplus is cut off.  A window that is no
+        codeword has length 0 and symbol -1: its cursor stalls, and either the
+        boundary check or the -1 raises.  Gathers clip, so a cursor that a
+        corrupt stream drives past the band stays in bounds.
         """
         width = bit_offsets.size
-        cursors = bit_offsets.astype(np.int64).copy()
         steps = int(sym_counts.max())
-        decoded = np.empty((steps, width), dtype=np.int64)
-        # Chunk sizes are uniform except for the stream's trailing chunk; its
-        # cursor is snapshotted when it runs out of symbols (the row keeps
-        # walking harmlessly inside the padded windows, and its surplus
-        # symbols are never copied out).
-        short_rows = {int(r): int(sym_counts[r])
-                      for r in np.flatnonzero(sym_counts < steps)}
-        frozen: dict[int, int] = {}
-        shifts = np.empty(width, dtype=np.int64)
-        windows = np.empty(width, dtype=np.int64)
+        w24 = _byte_windows(bit_bytes, 2)
+        lens = np.empty((w24.size, 8), dtype=np.uint8)
+        for b0 in range(0, w24.size, _BLOCK):
+            windows = (w24[b0:b0 + _BLOCK, None] >> _PHASE_SHIFTS) & 0xFFFF
+            table_len.take(windows, out=lens[b0:b0 + _BLOCK])
+        take, add = lens.ravel().take, np.add
+        cursors = np.empty((steps + 1, width), dtype=np.int64)
+        cursors[0] = bit_offsets
+        step_lens = np.empty(width, dtype=np.uint8)
         for step in range(steps):
-            for row, row_syms in short_rows.items():
-                if step == row_syms:
-                    frozen[row] = int(cursors[row])
-            np.right_shift(cursors, 3, out=shifts)
-            np.take(w24, shifts, out=windows)
-            np.bitwise_and(cursors, 7, out=shifts)
-            np.subtract(8, shifts, out=shifts)
-            np.right_shift(windows, shifts, out=windows)
-            np.bitwise_and(windows, 0xFFFF, out=windows)
-            row_out = decoded[step]
-            np.take(comb, windows, out=row_out)
-            np.bitwise_and(row_out, 31, out=shifts)
-            cursors += shifts
-        for row, cursor in frozen.items():
-            cursors[row] = cursor
-        if not np.array_equal(cursors, chunk_ends):
+            row = cursors[step]
+            take(row, out=step_lens, mode="clip")
+            add(row, step_lens, out=cursors[step + 1])
+        if not np.array_equal(cursors[sym_counts, np.arange(width)], chunk_ends):
             raise _corrupt("chunk did not decode to its recorded boundary")
-        for c in range(width):
-            n_syms = int(sym_counts[c])
-            base = int(sym_starts[c])
-            out[base:base + n_syms] = decoded[:n_syms, c] >> 5
-
-    def decode_with_table(self, payload: bytes) -> np.ndarray:
-        """Alias of :meth:`decode` kept for API symmetry with fast decoders."""
-        return self.decode(payload)
+        out = np.empty((width, steps), dtype=np.int64)
+        rows = max(1, _BLOCK // width)
+        for s0 in range(0, steps, rows):
+            pos = cursors[s0:min(s0 + rows, steps)]
+            windows = w24.take(pos >> 3, mode="clip")
+            shift = pos & 7
+            np.subtract(8, shift, out=shift)
+            windows >>= shift
+            windows &= 0xFFFF
+            out[:, s0:s0 + rows] = table_sym.take(windows).T
+        out = out.ravel()[:int(sym_counts.sum())]
+        if out.min() < 0:
+            raise _corrupt("bit window matches no codeword")
+        return out

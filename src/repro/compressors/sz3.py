@@ -60,9 +60,10 @@ class SZ3Compressor(LossyCompressor):
                  entropy_backend: str = "thread") -> None:
         super().__init__(error_bound, mode)
         self.quantizer = LinearQuantizer(quantizer_radius)
-        # entropy_chunk caps the symbols per Huffman chunk; entropy_workers=1
-        # is the sequential reference decoder, >1 the banded vectorized one on
-        # the named execution backend (serial / thread / process).
+        # entropy_chunk caps the symbols per Huffman chunk; entropy_workers
+        # sets how many bands the decode is cut into (1 = one in-process band)
+        # on the named execution backend (serial / thread / process), and each
+        # band's width picks its kernel (vectorized row walk or scalar loop).
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk, max_workers=entropy_workers,
                                     backend=entropy_backend)
         if isinstance(lossless_backend, LosslessCodec):

@@ -30,9 +30,11 @@ class FedSZConfig:
       ``"weight"``),
     * ``entropy_chunk`` / ``entropy_workers`` — chunking and decode
       concurrency of the SZ2/SZ3 Huffman entropy stage: ``entropy_chunk``
-      caps the symbols per independently-decodable chunk, ``entropy_workers=1``
-      selects the sequential reference decoder, larger values the banded
-      vectorized decoder on the execution backend (bit-identical output),
+      caps the symbols per independently-decodable chunk, ``entropy_workers``
+      sets the number of decode bands on the execution backend (``1`` decodes
+      in-process as one band), and each band's width picks its kernel — the
+      vectorized row walk, or the scalar loop for narrow bands (bit-identical
+      output either way),
     * ``policy`` / ``policy_options`` — registry name and constructor kwargs
       of the plan policy (:mod:`repro.core.plan`) that assigns each lossy
       tensor its codec/bound/options; ``"uniform"`` reproduces the historic

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.compressors.huffman import (
+    _MIN_VECTOR_CHUNKS,
     DEFAULT_CHUNK_SYMBOLS,
     MAX_CODE_LENGTH,
     HuffmanCoder,
+    _decode_tables_cached,
 )
 
 _HEADER = struct.Struct("<IQII")
@@ -27,6 +29,25 @@ def _parse_header(payload: bytes):
 def _refresh_crc(payload: bytes) -> bytes:
     """Recompute the CRC field so structural checks behind it are reachable."""
     return payload[:4] + struct.pack("<I", zlib.crc32(payload[8:])) + payload[8:]
+
+
+def _scalar_reference(payload: bytes) -> np.ndarray:
+    """Decode ``payload`` with the per-symbol scalar kernel alone: the oracle
+    the vectorized row walk is pinned against at every worker count."""
+    alphabet, count, _, n_chunks, index = _parse_header(payload)
+    lengths_at = _PREFIX_LEN + _HEADER.size
+    bits_at = lengths_at + alphabet + 16 * n_chunks + 8
+    (total_bits,) = struct.unpack_from("<Q", payload, bits_at - 8)
+    bit_offsets = index[:, 0].astype(np.int64)
+    sym_counts = index[:, 1].astype(np.int64)
+    sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
+    chunk_ends = np.concatenate([bit_offsets[1:], [total_bits]])
+    table_sym, table_len = _decode_tables_cached(payload[lengths_at:lengths_at + alphabet])
+    out = np.empty(count, dtype=np.int64)
+    HuffmanCoder._decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
+                                bit_offsets, sym_counts, sym_starts, chunk_ends,
+                                table_sym.tolist(), table_len.tolist(), out)
+    return out
 
 
 @pytest.fixture
@@ -99,11 +120,6 @@ class TestCompression:
         decoded = coder.decode(coder.encode(symbols))
         np.testing.assert_array_equal(np.sort(decoded), np.sort(symbols))
 
-    def test_decode_with_table_alias(self, coder):
-        symbols = np.array([1, 2, 3, 1, 2, 1], dtype=np.int64)
-        payload = coder.encode(symbols)
-        np.testing.assert_array_equal(coder.decode_with_table(payload), symbols)
-
     def test_max_code_length_constant(self):
         assert 8 <= MAX_CODE_LENGTH <= 24
 
@@ -150,10 +166,28 @@ class TestChunkedFormat:
         symbols = _distributions()[name]
         coder = HuffmanCoder(chunk_size=1024)
         payload = coder.encode(symbols)
-        reference = coder.decode(payload, max_workers=1)
-        parallel = coder.decode(payload, max_workers=4)
+        reference = _scalar_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        np.testing.assert_array_equal(parallel, reference)
+        for workers in (1, 4):
+            np.testing.assert_array_equal(coder.decode(payload, max_workers=workers),
+                                          reference)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("n_chunks", [_MIN_VECTOR_CHUNKS - 1, _MIN_VECTOR_CHUNKS,
+                                          _MIN_VECTOR_CHUNKS + 1, 512])
+    def test_kernel_threshold_bit_identical_to_reference(self, n_chunks, workers):
+        # straddle the width at which a band switches from the scalar loop to
+        # the row walk; the short trailing chunk must be cut off exactly
+        chunk = 64
+        rng = np.random.default_rng(n_chunks)
+        symbols = np.clip(np.rint(rng.laplace(300, 6, size=(n_chunks - 1) * chunk + 17)),
+                          0, 600).astype(np.int64)
+        payload = HuffmanCoder(chunk_size=chunk).encode(symbols)
+        assert _parse_header(payload)[3] == n_chunks
+        reference = _scalar_reference(payload)
+        np.testing.assert_array_equal(reference, symbols)
+        decoded = HuffmanCoder(chunk_size=chunk).decode(payload, max_workers=workers)
+        np.testing.assert_array_equal(decoded, reference)
 
     def test_instance_worker_default_used(self):
         symbols = np.arange(30_000, dtype=np.int64) % 11
@@ -180,6 +214,25 @@ def chunked_payload() -> tuple[np.ndarray, bytes]:
     return symbols, HuffmanCoder(chunk_size=256).encode(symbols)
 
 
+@pytest.fixture
+def wide_chunked_payload() -> tuple[np.ndarray, bytes]:
+    """Enough chunks that a one-worker decode runs the vectorized row walk
+    (and a four-worker one still cuts bands no narrower than that)."""
+    rng = np.random.default_rng(6)
+    n_chunks = 2 * _MIN_VECTOR_CHUNKS + 1
+    symbols = np.clip(np.rint(rng.normal(40, 4, size=(n_chunks - 1) * 64 + 23)),
+                      0, 80).astype(np.int64)
+    payload = HuffmanCoder(chunk_size=64).encode(symbols)
+    assert _parse_header(payload)[3] == n_chunks
+    return symbols, payload
+
+
+def _bits_at(payload: bytes) -> int:
+    """Byte offset of the packed code bits in a v3 payload."""
+    alphabet, _, _, n_chunks, _ = _parse_header(payload)
+    return _PREFIX_LEN + _HEADER.size + alphabet + 16 * n_chunks + 8
+
+
 class TestCorruption:
     """Any corrupted or truncated payload must raise ValueError — never
     struct.error / IndexError, and never silently return wrong symbols."""
@@ -204,6 +257,63 @@ class TestCorruption:
             except ValueError:
                 continue
             np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_truncation_at_every_boundary_raises_wide(self, workers, wide_chunked_payload):
+        _, payload = wide_chunked_payload
+        coder = HuffmanCoder()
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError):
+                coder.decode(payload[:cut], max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_bitflip_fuzz_every_byte_wide(self, workers, wide_chunked_payload):
+        symbols, payload = wide_chunked_payload
+        coder = HuffmanCoder()
+        for i in range(len(payload)):
+            mutated = bytearray(payload)
+            mutated[i] ^= 1 << (i % 8)
+            try:
+                decoded = coder.decode(bytes(mutated), max_workers=workers)
+            except ValueError:
+                continue
+            np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_bitflip_past_crc_agrees_with_reference(self, workers, wide_chunked_payload):
+        # with the CRC refreshed, a flipped code bit reaches the kernels
+        # themselves: the row walk must raise exactly when the scalar oracle
+        # does, and otherwise return the oracle's (possibly different) symbols
+        _, payload = wide_chunked_payload
+        coder = HuffmanCoder()
+        for i in range(_bits_at(payload), len(payload)):
+            mutated = bytearray(payload)
+            mutated[i] ^= 1 << (i % 8)
+            mutated = _refresh_crc(bytes(mutated))
+            try:
+                expected = _scalar_reference(mutated)
+            except ValueError:
+                with pytest.raises(ValueError, match="corrupt Huffman stream"):
+                    coder.decode(mutated, max_workers=workers)
+                continue
+            np.testing.assert_array_equal(coder.decode(mutated, max_workers=workers),
+                                          expected)
+
+    def test_stall_at_chunk_boundary_rejected_by_both_kernels(self):
+        # codes "0" and "10"; windows starting "11" are no codeword.  The
+        # chunk declares 4 symbols but its 4 bits hold 2, and the bits after
+        # it (a burst's edge, say) start "11": the row walk stalls exactly at
+        # the boundary, so only the no-codeword symbol can expose it
+        table_sym, table_len = _decode_tables_cached(bytes([1, 2]))
+        band = (np.array([0b10101100], dtype=np.uint8), np.array([0]),
+                np.array([4]), np.array([4]))
+        with pytest.raises(ValueError, match="no codeword"):
+            HuffmanCoder._decode_band_vectorized(*band, table_sym, table_len)
+        bit_bytes, offsets, counts, ends = band
+        with pytest.raises(ValueError, match="boundary"):
+            HuffmanCoder._decode_scalar(bit_bytes, offsets, counts, np.array([0]), ends,
+                                        table_sym.tolist(), table_len.tolist(),
+                                        np.empty(4, dtype=np.int64))
 
     def test_bad_magic_rejected(self, coder, chunked_payload):
         _, payload = chunked_payload
