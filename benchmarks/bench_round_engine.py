@@ -4,10 +4,14 @@ An 8-client FedAvg round over a simulated 2 Mbps uplink (``simulate_delay=True``
 the paper's MPI-delay-injection methodology) is executed sequentially
 (``max_workers=1``) and with a 4-worker pool on the selected execution backend
 (``--backend serial|thread|process``).  The parallel engine must be measurably
-faster in wall clock — the injected per-client transfer delays overlap across
-workers, and on multicore hosts the BLAS-heavy training does too — while
-reproducing the sequential accuracies and byte counts bit-for-bit on every
-backend.
+faster in wall clock while reproducing the sequential accuracies and byte
+counts bit-for-bit on every backend.  The injected per-client transfer delays
+overlap across workers.  Training overlaps only because every pool caps BLAS
+at ``cpu_count // workers`` threads (see ``repro.utils.parallel``): without
+the cap, on a 2-core host, two concurrent AlexNet trainers each started
+OpenBLAS threads of their own and got no more done than one (233-252 vs
+236-252 ms per SGD step in aggregate); with it they take 124-128 ms against
+184-210 ms for one trainer.
 
 Two entry points:
 

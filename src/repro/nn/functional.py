@@ -2,7 +2,15 @@
 
 The convolution layers use the classic im2col/col2im formulation so both the
 forward and backward passes reduce to dense matrix products, which keeps the
-CPU-only training loops inside NumPy's BLAS.
+CPU-only training loops inside NumPy's BLAS: ``np.matmul`` of the flattened
+kernel against the (N, C*kh*kw, L) columns for the forward pass and for the
+input gradient, and one GEMM over all N*L positions for the weight gradient.
+
+:func:`col2im` folds the input gradient back with one strided add per kernel
+tap.  It reads each column once and keeps the image in cache, so it runs at
+memory speed.  A stride-1 fold over rows padded to the image's row pitch
+(one contiguous add per tap) was measured against it on a 2-core Xeon and was
+not faster.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ class Conv2d(Module):
         cols = im2col(x, (k, k), self.stride, self.padding)
         self._cols = cols
         w2d = self.weight.data.reshape(self.out_channels, -1)
-        out = np.einsum("fk,nkl->nfl", w2d, cols, optimize=True)
+        out = np.matmul(w2d, cols)
         if self.bias is not None:
             out = out + self.bias.data[None, :, None]
         out = out.reshape(n, self.out_channels, h_out, w_out)
@@ -110,11 +110,13 @@ class Conv2d(Module):
         n = grad.shape[0]
         grad2d = grad.reshape(n, self.out_channels, -1)
         w2d = self.weight.data.reshape(self.out_channels, -1)
+        # one GEMM over all N*L positions (a batched matmul plus a sum over N
+        # would add the per-sample products in a different order)
         dw = np.einsum("nfl,nkl->fk", grad2d, self._cols, optimize=True)
         self.weight.add_grad(dw.reshape(self.weight.data.shape))
         if self.bias is not None:
             self.bias.add_grad(grad2d.sum(axis=(0, 2)))
-        dcols = np.einsum("fk,nfl->nkl", w2d, grad2d, optimize=True)
+        dcols = np.matmul(w2d.T, grad2d)
         return col2im(dcols, self._x_shape, (self.kernel_size, self.kernel_size),
                       self.stride, self.padding)
 
@@ -247,42 +249,51 @@ class ReLU6(Module):
 
 
 class MaxPool2d(Module):
-    """Non-overlapping max pooling (kernel == stride)."""
+    """Non-overlapping max pooling (kernel == stride).
+
+    Both passes walk the k*k strided views ``x[:, :, i::k, j::k]``, one per
+    window position, elementwise: the forward keeps a running max and the
+    flat index ``i*k + j`` of the first position that reached it (a later
+    position must be strictly greater, so ties resolve as in ``argmax``);
+    the backward writes each position's gradients through the same views.
+    For NaN-free inputs both passes equal a reshape-and-``argmax`` pooling
+    bit for bit.
+    """
 
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self._argmax: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
         self._orig_shape: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _views(self, x: np.ndarray) -> "list[np.ndarray]":
+        """The k*k window-position views, a ragged border trimmed (floor mode)."""
         k = self.kernel_size
+        h, w = (x.shape[2] // k) * k, (x.shape[3] // k) * k
+        return [x[:, :, i:h:k, j:w:k] for i in range(k) for j in range(k)]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._orig_shape = x.shape
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            # trim a ragged border (same behaviour as floor-mode pooling)
-            x = x[:, :, : (h // k) * k, : (w // k) * k]
-            n, c, h, w = x.shape
-        self._x_shape = (n, c, h, w)
-        blocks = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        blocks = blocks.reshape(n, c, h // k, w // k, k * k)
-        self._argmax = blocks.argmax(axis=-1)
-        return blocks.max(axis=-1)
+        views = self._views(x)
+        out = views[0].copy()
+        argmax = np.zeros(out.shape, dtype=np.intp)
+        for t, view in enumerate(views[1:], start=1):
+            better = view > out
+            np.copyto(out, view, where=better)
+            np.copyto(argmax, t, where=better)
+        self._argmax = argmax
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        full = np.empty(self._orig_shape, dtype=grad.dtype)
         k = self.kernel_size
-        n, c, h, w = self._x_shape
-        out = np.zeros((n, c, h // k, w // k, k * k), dtype=grad.dtype)
-        idx = self._argmax
-        np.put_along_axis(out, idx[..., None], grad[..., None], axis=-1)
-        out = out.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        out = out.reshape(n, c, h, w)
-        if self._orig_shape != self._x_shape:
-            full = np.zeros(self._orig_shape, dtype=grad.dtype)
-            full[:, :, :h, :w] = out
-            return full
-        return out
+        h, w = (full.shape[2] // k) * k, (full.shape[3] // k) * k
+        full[:, :, h:] = 0.0  # the trimmed border gets no gradient
+        full[:, :, :h, w:] = 0.0
+        # the views tile the rest, so each is written whole
+        for t, view in enumerate(self._views(full)):
+            view[...] = np.where(self._argmax == t, grad, 0.0)
+        return full
 
 
 class AvgPool2d(Module):

@@ -65,6 +65,24 @@ Every real pool construction (persistent or per-call) increments the
 backend's ``pool_spinups`` counter, so benchmarks can show how many pools a
 workload paid for.
 
+Every pool with more than one worker also holds a BLAS thread budget for as
+long as it lives.  OpenBLAS starts its own threads in every caller, so two pool
+workers each running a GEMM on a 2-core host would otherwise ask for four
+threads and get no more done than one worker.  While such a pool is alive the
+BLAS library's thread count is capped at ``min(current, max(1, cpu_count //
+workers))``:
+
+* thread and subinterpreter pools share the process, so the cap is set in the
+  parent when the pool is built and restored when it shuts down (on error
+  too).  The count is process-global: overlapping pools — nested scopes, or
+  scopes opened from different threads — keep it at the minimum over their
+  budgets, and the last one to shut down restores the count found before the
+  first;
+* process pools set it inside each worker as it spawns;
+* the budget never raises the count, so a lower ``OPENBLAS_NUM_THREADS`` (or a
+  lower count set by the caller) still wins.  When no OpenBLAS thread setter
+  is found in the process (see :func:`blas_threads`) the budget does nothing.
+
 
 This module is dependency-free on purpose: it sits below ``repro.fl``,
 ``repro.core``, and ``repro.compressors`` in the layering, so every side can
@@ -75,6 +93,9 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import ctypes
+import functools
+import glob
 import os
 import sys
 import threading
@@ -97,6 +118,7 @@ __all__ = [
     "ArenaHandle",
     "ArenaView",
     "available_backends",
+    "blas_threads",
     "get_backend",
     "register_backend",
     "map_parallel",
@@ -111,19 +133,139 @@ R = TypeVar("R")
 _PROCESS_WORKER_ENV = "REPRO_EXECUTION_PROCESS_WORKER"
 
 
+# ----------------------------------------------------------------------
+# BLAS thread budget
+# ----------------------------------------------------------------------
+
+#: (setter, getter) symbol pairs, probed in order: the 64-bit-integer OpenBLAS
+#: that NumPy wheels bundle, then a plain system OpenBLAS.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_paths() -> list[str]:
+    """Shared objects that look like OpenBLAS: the mapped ones, then NumPy's."""
+    paths: list[str] = []
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                path = line.rsplit(None, 1)[-1]
+                if "openblas" in os.path.basename(path).lower() and path not in paths:
+                    paths.append(path)
+    except OSError:  # not Linux
+        pass
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths += [p for p in sorted(glob.glob(os.path.join(libs, "*openblas*")))
+              if p not in paths]
+    return paths
+
+
+@functools.cache
+def _blas_api() -> "tuple[Callable[[int], None], Callable[[], int], Callable[[], None]] | None":
+    """``(set_num_threads, get_num_threads, stop_server)`` of the loaded
+    OpenBLAS, or None.  ``stop_server`` parks OpenBLAS's worker threads (the
+    library restarts them on the next call that needs them); it is a no-op
+    when the library does not export ``blas_thread_shutdown_``."""
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                return setter, getter, (stop if stop is not None else lambda: None)
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS library's current thread count (None: no setter was found)."""
+    api = _blas_api()
+    return None if api is None else api[1]()
+
+
+def _blas_budget(workers: int) -> int:
+    """BLAS threads per worker that keep ``workers`` pool workers on the cores."""
+    return max(1, (os.cpu_count() or 1) // workers)
+
+
+class _BlasBudgets:
+    """The budgets of the in-process pools alive right now (process-wide)."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        #: one entry per live pool (a multiset)
+        self.active: list[int] = []
+        #: the BLAS thread count found when the first of them started
+        self.before = 0
+
+    def _apply(self, api) -> None:
+        setter, getter = api[0], api[1]
+        target = min([self.before, *self.active])
+        if getter() != target:
+            setter(target)
+
+    def acquire(self, workers: int) -> "Callable[[], None]":
+        """Cap BLAS threads for a pool of ``workers``; return the release.
+
+        The release is idempotent; once the last active budget is released
+        the count found before the first one is restored.
+        """
+        api = _blas_api()
+        if api is None:
+            return lambda: None
+        budget = _blas_budget(workers)
+        with self.lock:
+            if not self.active:
+                self.before = api[1]()
+            self.active.append(budget)
+            self._apply(api)
+        released = False
+
+        def release() -> None:
+            nonlocal released
+            with self.lock:
+                if released:
+                    return
+                released = True
+                self.active.remove(budget)
+                self._apply(api)
+
+        return release
+
+
+_BLAS_BUDGETS = _BlasBudgets()
+
+
 def _mark_process_worker() -> None:
     """Pool initializer: tag the worker so nested process maps stay flat."""
     os.environ[_PROCESS_WORKER_ENV] = "1"
 
 
-def _process_worker_init(initializer=None, initargs=()) -> None:
-    """Process-pool initializer: mark the worker, then run the caller's hook.
+def _process_worker_init(initializer=None, initargs=(), workers: int = 1) -> None:
+    """Process-pool initializer: mark the worker, cap BLAS, run the caller's hook.
 
     Module-level so it pickles; ``initializer`` and ``initargs`` ride along as
     ``initargs`` of the real :class:`ProcessPoolExecutor`, which is exactly
-    where a persistent scope ships its once-per-worker state.
+    where a persistent scope ships its once-per-worker state.  The worker
+    lives as long as its pool, so the BLAS cap is never undone here.
     """
     _mark_process_worker()
+    api = _blas_api()
+    if api is not None and workers > 1:
+        setter, getter, stop_server = api
+        if getter() > _blas_budget(workers):
+            setter(_blas_budget(workers))
+            # in a freshly forked worker the setter starts OpenBLAS's worker
+            # threads, which busy-wait for ~0.1 s of CPU; park them until a
+            # call needs them (a single-threaded call never does)
+            stop_server()
     if initializer is not None:
         initializer(*initargs)
 
@@ -194,6 +336,23 @@ class _ScopedExecutor(Executor):
         pass
 
 
+class _BudgetedExecutor(_ScopedExecutor):
+    """An owning view of an in-process pool that holds a BLAS thread budget.
+
+    ``shutdown`` shuts the pool down, then releases the budget.
+    """
+
+    def __init__(self, executor: Executor, release: "Callable[[], None]") -> None:
+        super().__init__(executor)
+        self._release = release
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        try:
+            self._executor.shutdown(wait=wait, cancel_futures=cancel_futures)
+        finally:
+            self._release()
+
+
 class ExecutionBackend(abc.ABC):
     """One way of running independent work items: serial, threads, or processes.
 
@@ -225,6 +384,11 @@ class ExecutionBackend(abc.ABC):
     #: *returned* values travel back — callers that rely on side effects must
     #: re-absorb them from the results.
     shared_memory: bool = True
+
+    #: True when workers run in the caller's process (threads,
+    #: subinterpreters), so the BLAS thread budget is set in the parent for
+    #: the pool's lifetime; process workers set it themselves as they spawn.
+    budget_in_parent: bool = False
 
     #: True when arguments and results cross a serialization (pickle)
     #: boundary on their way to and from workers.  Call sites that would ship
@@ -261,10 +425,13 @@ class ExecutionBackend(abc.ABC):
 
     def _new_executor(self, workers: int, initializer: Callable | None = None,
                       initargs: tuple = ()) -> Executor:
-        """:meth:`_make_executor` plus the ``pool_spinups`` accounting."""
+        """:meth:`_make_executor` plus ``pool_spinups`` and the BLAS budget."""
         pool = self._make_executor(workers, initializer, initargs)
-        if not isinstance(pool, _SerialExecutor):
-            self.pool_spinups += 1
+        if isinstance(pool, _SerialExecutor):
+            return pool
+        self.pool_spinups += 1
+        if self.budget_in_parent and workers > 1:
+            return _BudgetedExecutor(pool, _BLAS_BUDGETS.acquire(workers))
         return pool
 
     # -- persistent scope ---------------------------------------------------
@@ -417,6 +584,7 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
     gil_bound = True
+    budget_in_parent = True
 
     def default_workers(self) -> int:
         # the ThreadPoolExecutor heuristic: a few threads beyond the core
@@ -461,9 +629,10 @@ class ProcessBackend(ExecutionBackend):
             if initializer is not None:
                 initializer(*initargs)
             return _SerialExecutor()
+        _blas_api()  # probe once here: forked workers inherit the result
         return ProcessPoolExecutor(max_workers=workers,
                                    initializer=_process_worker_init,
-                                   initargs=(initializer, initargs))
+                                   initargs=(initializer, initargs, workers))
 
     def _map_concurrent(self, func: Callable[[T], R], items: list[T],
                         workers: int, chunksize: int | None) -> list[R]:
@@ -493,6 +662,7 @@ class SubinterpreterBackend(ExecutionBackend):
     name = "subinterpreter"
     shared_memory = False
     pickles_arguments = True
+    budget_in_parent = True
 
     @staticmethod
     def supported() -> bool:

@@ -22,13 +22,15 @@ from hypothesis import strategies as st
 from repro.compressors.huffman import HuffmanCoder
 from repro.core import FedSZCompressor, FedSZConfig
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
-from repro.nn import build_model
+from repro.nn import CrossEntropyLoss, SGD, available_models, build_model
+from repro.utils import parallel
 from repro.utils.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     available_backends,
+    blas_threads,
     get_backend,
     map_parallel,
     register_backend,
@@ -493,3 +495,217 @@ class TestSharedMemoryArena:
             results = map_parallel(_arena_sum, [arena.handle] * 3,
                                    backend="process", max_workers=2)
         assert results == [expected] * 3
+
+
+# -- BLAS thread budget -------------------------------------------------------
+
+def _report_blas_threads(_: int) -> "int | None":
+    """Module-level task: the BLAS thread count seen where the task runs."""
+    return blas_threads()
+
+
+def _report_os_threads(_: int) -> int:
+    """Module-level task: the OS threads of the process the task runs in."""
+    return len(os.listdir("/proc/self/task"))
+
+
+class _FakeBlas:
+    """A stand-in thread count with the shape of the OpenBLAS probe."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.sets: list[int] = []
+
+    def set(self, count: int) -> None:
+        self.sets.append(count)
+        self.count = count
+
+    def api(self):
+        return self.set, lambda: self.count, lambda: None
+
+
+def _expected_cap(before: int, workers: int) -> int:
+    return min(before, max(1, (os.cpu_count() or 1) // workers))
+
+
+requires_blas = pytest.mark.skipif(blas_threads() is None,
+                                   reason="no OpenBLAS thread setter found")
+
+
+class TestBlasBudget:
+    """Pools with more than one worker cap BLAS at ``cpu_count // workers``
+    threads while they live, never raise the count, and restore it after."""
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        """8 cores and a BLAS library running 8 threads."""
+        blas = _FakeBlas(8)
+        monkeypatch.setattr(parallel, "_blas_api", blas.api)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        return blas
+
+    @requires_blas
+    def test_thread_scope_caps_and_restores(self):
+        before = blas_threads()
+        with get_backend("thread").persistent(workers=2) as scope:
+            assert blas_threads() == _expected_cap(before, 2)
+            seen = scope.map(_report_blas_threads, range(4))
+            assert seen == [_expected_cap(before, 2)] * 4
+        assert blas_threads() == before
+
+    @requires_blas
+    def test_thread_scope_restores_on_exception(self):
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="inside"):
+            with get_backend("thread").persistent(workers=2):
+                assert blas_threads() == _expected_cap(before, 2)
+                raise RuntimeError("inside the scope")
+        assert blas_threads() == before
+
+    @requires_blas
+    def test_one_shot_pools_cap_and_restore(self):
+        before = blas_threads()
+        backend = ThreadBackend()
+        with backend.executor(workers=2) as pool:
+            assert pool.submit(_report_blas_threads, 0).result() == \
+                _expected_cap(before, 2)
+        assert blas_threads() == before
+        assert backend.map(_report_blas_threads, range(4), workers=2) == \
+            [_expected_cap(before, 2)] * 4
+        assert blas_threads() == before
+
+    @requires_blas
+    def test_process_workers_report_the_budget(self):
+        before = blas_threads()
+        seen = get_backend("process").map(_report_blas_threads, range(4), workers=2)
+        assert seen == [_expected_cap(before, 2)] * 4
+        assert blas_threads() == before
+        with get_backend("process").persistent(workers=2) as scope:
+            # the cap lives in the workers; the parent keeps its count
+            assert blas_threads() == before
+            assert scope.map(_report_blas_threads, range(4)) == \
+                [_expected_cap(before, 2)] * 4
+
+    @requires_blas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_process_workers_start_no_blas_threads(self):
+        # capping the count in a fresh worker must not leave OpenBLAS's
+        # worker threads running (they would busy-wait next to the task)
+        assert get_backend("process").map(_report_os_threads, range(4), workers=2) \
+            == [1] * 4
+
+    def test_single_worker_and_serial_leave_blas_alone(self, fake):
+        with get_backend("thread").persistent(workers=1):
+            assert fake.count == 8
+        get_backend("serial").map(_square, range(4))
+        get_backend("thread").map(_square, range(4), workers=1)
+        assert fake.sets == []
+
+    def test_nested_scopes_keep_the_minimum(self, fake):
+        with get_backend("thread").persistent(workers=2):
+            assert fake.count == 4
+            with ThreadBackend().persistent(workers=8):
+                assert fake.count == 1
+                with ThreadBackend().persistent(workers=2):
+                    assert fake.count == 1  # a looser budget never raises it
+                assert fake.count == 1
+            assert fake.count == 4
+        assert fake.count == 8
+
+    def test_never_raises_a_lower_count(self, fake):
+        fake.count = 2
+        with get_backend("thread").persistent(workers=2):
+            assert fake.count == 2
+            with ThreadBackend().persistent(workers=8):
+                assert fake.count == 1
+            assert fake.count == 2
+        assert fake.count == 2
+
+    def test_concurrent_scopes_from_two_threads(self, fake):
+        import threading
+
+        both_in = threading.Barrier(2)
+        narrow_out = threading.Event()
+        seen: dict[str, int] = {}
+
+        def wide() -> None:
+            with ThreadBackend().persistent(workers=2):
+                both_in.wait()
+                seen["both"] = fake.count
+                both_in.wait()
+                narrow_out.wait()
+                seen["wide-alone"] = fake.count
+
+        def narrow() -> None:
+            with ThreadBackend().persistent(workers=8):
+                both_in.wait()
+                both_in.wait()  # wide has read the count while both are open
+            narrow_out.set()
+
+        threads = [threading.Thread(target=wide), threading.Thread(target=narrow)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen["both"] == 1  # the minimum over both budgets
+        assert seen["wide-alone"] == 4  # the narrow scope left first
+        assert fake.count == 8  # the last one out restored the original
+
+    def test_exception_releases_only_its_own_budget(self, fake):
+        with get_backend("thread").persistent(workers=2):
+            with pytest.raises(ValueError):
+                with ThreadBackend().persistent(workers=8):
+                    assert fake.count == 1
+                    raise ValueError("inner")
+            assert fake.count == 4
+        assert fake.count == 8
+
+    def test_no_setter_makes_the_scope_a_noop(self, monkeypatch):
+        real = parallel._blas_api()
+        before = real[1]() if real is not None else None
+        monkeypatch.setattr(parallel, "_blas_api", lambda: None)
+        assert blas_threads() is None
+        with get_backend("thread").persistent(workers=2) as scope:
+            assert parallel._BLAS_BUDGETS.active == []
+            assert scope.map(_square, range(4)) == [0, 1, 4, 9]
+            if real is not None:
+                assert real[1]() == before
+        assert parallel._BLAS_BUDGETS.active == []
+
+
+def _train_digest(name: str) -> str:
+    """sha256 of ``name``'s state after 3 seeded SGD steps."""
+    import hashlib
+
+    rng = np.random.default_rng(11)
+    model = build_model(name, seed=0)
+    model.train()
+    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    loss = CrossEntropyLoss()
+    for _ in range(3):
+        x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+        loss(model.forward(x), rng.integers(0, 10, 16))
+        model.zero_grad()
+        model.backward(loss.backward())
+        optimizer.step()
+    digest = hashlib.sha256()
+    for key, value in model.state_dict().items():
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+@requires_blas
+def test_training_is_invariant_to_the_blas_thread_count():
+    """The backend bit-identity suites compare runs whose BLAS thread counts
+    differ (a pool caps them, the serial reference does not): training must
+    not depend on the count."""
+    setter, getter, _ = parallel._blas_api()
+    default = getter()
+    try:
+        at_default = {name: _train_digest(name) for name in available_models()}
+        setter(1)
+        at_one = {name: _train_digest(name) for name in available_models()}
+    finally:
+        setter(default)
+    assert at_one == at_default

@@ -231,6 +231,46 @@ class TestActivationsAndPooling:
         grad = layer.backward(np.ones_like(out))
         assert grad.shape == x.shape
 
+    @staticmethod
+    def _maxpool_reference(x, k, grad):
+        """Reshape-and-argmax pooling: forward output and input gradient."""
+        n, c, h, w = x.shape
+        h, w = (h // k) * k, (w // k) * k
+        blocks = x[:, :, :h, :w].reshape(n, c, h // k, k, w // k, k)
+        blocks = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
+        idx = blocks.argmax(axis=-1)
+        dblocks = np.zeros(blocks.shape, dtype=grad.dtype)
+        np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=-1)
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        dx[:, :, :h, :w] = dblocks.reshape(n, c, h // k, w // k, k, k).transpose(
+            0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        return blocks.max(axis=-1), dx
+
+    @pytest.mark.parametrize("k, shape", [
+        (2, (2, 3, 8, 8)),
+        (2, (2, 3, 7, 9)),     # ragged, non-square
+        (3, (1, 2, 9, 12)),
+        (3, (2, 2, 11, 7)),    # ragged, non-square
+        (2, (1, 1, 2, 10)),
+    ])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_maxpool_matches_reshape_argmax_reference(self, rng, k, shape, ties):
+        if ties:
+            # a handful of levels: most windows hold several equal maxima,
+            # which must resolve to the first one, as argmax does
+            x = rng.integers(0, 3, size=shape).astype(np.float32)
+        else:
+            x = rng.standard_normal(shape).astype(np.float32)
+        layer = MaxPool2d(k)
+        out = layer(x)
+        grad = rng.standard_normal(out.shape)
+        ref_out, ref_dx = self._maxpool_reference(x, k, grad)
+        assert out.dtype == ref_out.dtype
+        np.testing.assert_array_equal(out, ref_out)
+        dx = layer.backward(grad)
+        assert dx.shape == x.shape and dx.dtype == ref_dx.dtype
+        np.testing.assert_array_equal(dx, ref_dx)
+
     def test_avgpool_matches_mean(self, rng):
         layer = AvgPool2d(2)
         x = rng.standard_normal((2, 3, 4, 4))
