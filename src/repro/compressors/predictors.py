@@ -10,7 +10,8 @@ provided:
   sequential; a per-block constant predictor preserves the locality idea while
   remaining a single NumPy pass).
 * :func:`block_regression_predictor` — SZ2's per-block linear regression on the
-  element index.
+  element index, with float32 coefficients (the stored precision) and
+  predictions rebuilt from them by :func:`predictions_from_regression`.
 * :class:`InterpolationPredictor` — SZ3's level-by-level linear/cubic
   interpolation predictor on a dyadic grid; each level predicts the midpoints
   of the previous (already reconstructed) level, so the whole pass is
@@ -25,6 +26,7 @@ __all__ = [
     "block_mean_predictor",
     "block_regression_predictor",
     "block_pad",
+    "predictions_from_regression",
     "InterpolationPredictor",
 ]
 
@@ -49,39 +51,67 @@ def block_mean_predictor(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict every element of a block by the block mean.
 
     Returns ``(predictions, coefficients)`` where coefficients has shape
-    ``(n_blocks, 1)`` holding the means (stored in the payload so the decoder
-    reproduces the same predictions).
+    ``(n_blocks, 1)`` holding the float64 means and predictions is a read-only
+    broadcast view of them (no copy).  SZ2 hands the means on to
+    :func:`block_regression_predictor` so the block mean is computed once.
     """
     means = blocks.mean(axis=1, keepdims=True)
     predictions = np.broadcast_to(means, blocks.shape)
     return predictions, means
 
 
-def block_regression_predictor(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def block_regression_predictor(blocks: np.ndarray, means: "np.ndarray | None" = None,
+                               out: "np.ndarray | None" = None
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """Fit ``y = a + b * i`` per block (least squares on the element index).
 
-    Returns ``(predictions, coefficients)`` with coefficients of shape
+    ``means`` are the per-block float64 means (``block_mean_predictor``'s
+    coefficients, flattened); ``None`` computes them here.  The coefficients
+    are rounded to float32, the precision a payload stores, and the
+    predictions are rebuilt from the rounded values by
+    :func:`predictions_from_regression`, so an encoder and a decoder that sees
+    only the stored coefficients predict identically.  ``out`` is an optional
+    float64 buffer of ``blocks``' shape: it holds the fit's scratch, then the
+    predictions.
+
+    Returns ``(predictions, coefficients)`` with float32 coefficients of shape
     ``(n_blocks, 2)`` storing ``(a, b)`` per block.
     """
     n_blocks, block_size = blocks.shape
+    if means is None:
+        means = blocks.mean(axis=1)
+    if out is None:
+        out = np.empty(blocks.shape, dtype=np.float64)
     idx = np.arange(block_size, dtype=np.float64)
     idx_mean = idx.mean()
-    idx_var = float(((idx - idx_mean) ** 2).sum())
-    y_mean = blocks.mean(axis=1)
+    centred = idx - idx_mean
+    idx_var = float((centred ** 2).sum())
     if idx_var == 0.0:
         slope = np.zeros(n_blocks)
     else:
-        slope = ((blocks - y_mean[:, None]) * (idx - idx_mean)[None, :]).sum(axis=1) / idx_var
-    intercept = y_mean - slope * idx_mean
-    predictions = intercept[:, None] + slope[:, None] * idx[None, :]
-    coefficients = np.stack([intercept, slope], axis=1)
-    return predictions, coefficients
+        np.subtract(blocks, means[:, None], out=out)
+        np.multiply(out, centred, out=out)
+        slope = out.sum(axis=1)
+        slope /= idx_var
+    coefficients = np.empty((n_blocks, 2), dtype=np.float32)
+    coefficients[:, 0] = means - slope * idx_mean
+    coefficients[:, 1] = slope
+    return predictions_from_regression(coefficients, block_size, out=out), coefficients
 
 
-def predictions_from_regression(coefficients: np.ndarray, block_size: int) -> np.ndarray:
-    """Rebuild regression predictions from stored ``(a, b)`` coefficients."""
-    idx = np.arange(block_size, dtype=np.float64)
-    return coefficients[:, 0:1] + coefficients[:, 1:2] * idx[None, :]
+def predictions_from_regression(coefficients: np.ndarray, block_size: int,
+                                out: "np.ndarray | None" = None) -> np.ndarray:
+    """Rebuild regression predictions from stored ``(a, b)`` coefficients.
+
+    The arithmetic is float64 whatever the coefficients' dtype; ``out`` is an
+    optional float64 buffer of shape ``(n_blocks, block_size)`` to write into.
+    """
+    coef = coefficients.astype(np.float64, copy=False)
+    if out is None:
+        out = np.empty((coef.shape[0], block_size), dtype=np.float64)
+    np.multiply(coef[:, 1:2], np.arange(block_size, dtype=np.float64), out=out)
+    np.add(out, coef[:, 0:1], out=out)
+    return out
 
 
 class InterpolationPredictor:

@@ -31,7 +31,17 @@ def _refresh_crc(payload: bytes) -> bytes:
     return payload[:4] + struct.pack("<I", zlib.crc32(payload[8:])) + payload[8:]
 
 
-def _scalar_reference(payload: bytes) -> np.ndarray:
+#: the scalar loop reads its window tables as any int sequence: zero-copy
+#: memoryviews (what the decoders pass) and Python lists must agree
+_TABLE_FORMS = {"lists": lambda table: table.tolist(), "views": memoryview}
+
+
+@pytest.fixture(params=sorted(_TABLE_FORMS))
+def table_form(request) -> str:
+    return request.param
+
+
+def _scalar_reference(payload: bytes, form: str = "lists") -> np.ndarray:
     """Decode ``payload`` with the per-symbol scalar kernel alone: the oracle
     the vectorized row walk is pinned against at every worker count."""
     alphabet, count, _, n_chunks, index = _parse_header(payload)
@@ -46,7 +56,8 @@ def _scalar_reference(payload: bytes) -> np.ndarray:
     out = np.empty(count, dtype=np.int64)
     HuffmanCoder._decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
                                 bit_offsets, sym_counts, sym_starts, chunk_ends,
-                                table_sym.tolist(), table_len.tolist(), out)
+                                _TABLE_FORMS[form](table_sym),
+                                _TABLE_FORMS[form](table_len), out)
     return out
 
 
@@ -162,11 +173,11 @@ class TestChunkedFormat:
         assert chunk_size == 512
 
     @pytest.mark.parametrize("name", sorted(_distributions()))
-    def test_parallel_decode_bit_identical_to_reference(self, name):
+    def test_parallel_decode_bit_identical_to_reference(self, name, table_form):
         symbols = _distributions()[name]
         coder = HuffmanCoder(chunk_size=1024)
         payload = coder.encode(symbols)
-        reference = _scalar_reference(payload)
+        reference = _scalar_reference(payload, table_form)
         np.testing.assert_array_equal(reference, symbols)
         for workers in (1, 4):
             np.testing.assert_array_equal(coder.decode(payload, max_workers=workers),
@@ -175,7 +186,8 @@ class TestChunkedFormat:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("n_chunks", [_MIN_VECTOR_CHUNKS - 1, _MIN_VECTOR_CHUNKS,
                                           _MIN_VECTOR_CHUNKS + 1, 512])
-    def test_kernel_threshold_bit_identical_to_reference(self, n_chunks, workers):
+    def test_kernel_threshold_bit_identical_to_reference(self, n_chunks, workers,
+                                                         table_form):
         # straddle the width at which a band switches from the scalar loop to
         # the row walk; the short trailing chunk must be cut off exactly
         chunk = 64
@@ -184,7 +196,7 @@ class TestChunkedFormat:
                           0, 600).astype(np.int64)
         payload = HuffmanCoder(chunk_size=chunk).encode(symbols)
         assert _parse_header(payload)[3] == n_chunks
-        reference = _scalar_reference(payload)
+        reference = _scalar_reference(payload, table_form)
         np.testing.assert_array_equal(reference, symbols)
         decoded = HuffmanCoder(chunk_size=chunk).decode(payload, max_workers=workers)
         np.testing.assert_array_equal(decoded, reference)
@@ -227,6 +239,18 @@ def wide_chunked_payload() -> tuple[np.ndarray, bytes]:
     return symbols, payload
 
 
+@pytest.fixture
+def narrow_chunked_payload() -> tuple[np.ndarray, bytes]:
+    """Few enough chunks that every decode runs the scalar loop."""
+    rng = np.random.default_rng(7)
+    n_chunks = _MIN_VECTOR_CHUNKS - 3
+    symbols = np.clip(np.rint(rng.normal(40, 4, size=(n_chunks - 1) * 64 + 23)),
+                      0, 80).astype(np.int64)
+    payload = HuffmanCoder(chunk_size=64).encode(symbols)
+    assert _parse_header(payload)[3] == n_chunks
+    return symbols, payload
+
+
 def _bits_at(payload: bytes) -> int:
     """Byte offset of the packed code bits in a v3 payload."""
     alphabet, _, _, n_chunks, _ = _parse_header(payload)
@@ -259,6 +283,28 @@ class TestCorruption:
             np.testing.assert_array_equal(decoded, symbols)
 
     @pytest.mark.parametrize("workers", [1, 4])
+    def test_truncation_at_every_boundary_raises_narrow(self, workers,
+                                                        narrow_chunked_payload):
+        _, payload = narrow_chunked_payload
+        coder = HuffmanCoder()
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError):
+                coder.decode(payload[:cut], max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_bitflip_fuzz_every_byte_narrow(self, workers, narrow_chunked_payload):
+        symbols, payload = narrow_chunked_payload
+        coder = HuffmanCoder()
+        for i in range(len(payload)):
+            mutated = bytearray(payload)
+            mutated[i] ^= 1 << (i % 8)
+            try:
+                decoded = coder.decode(bytes(mutated), max_workers=workers)
+            except ValueError:
+                continue
+            np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("workers", [1, 4])
     def test_truncation_at_every_boundary_raises_wide(self, workers, wide_chunked_payload):
         _, payload = wide_chunked_payload
         coder = HuffmanCoder()
@@ -280,7 +326,8 @@ class TestCorruption:
             np.testing.assert_array_equal(decoded, symbols)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_bitflip_past_crc_agrees_with_reference(self, workers, wide_chunked_payload):
+    def test_bitflip_past_crc_agrees_with_reference(self, workers, wide_chunked_payload,
+                                                    table_form):
         # with the CRC refreshed, a flipped code bit reaches the kernels
         # themselves: the row walk must raise exactly when the scalar oracle
         # does, and otherwise return the oracle's (possibly different) symbols
@@ -291,7 +338,7 @@ class TestCorruption:
             mutated[i] ^= 1 << (i % 8)
             mutated = _refresh_crc(bytes(mutated))
             try:
-                expected = _scalar_reference(mutated)
+                expected = _scalar_reference(mutated, table_form)
             except ValueError:
                 with pytest.raises(ValueError, match="corrupt Huffman stream"):
                     coder.decode(mutated, max_workers=workers)
@@ -299,7 +346,37 @@ class TestCorruption:
             np.testing.assert_array_equal(coder.decode(mutated, max_workers=workers),
                                           expected)
 
-    def test_stall_at_chunk_boundary_rejected_by_both_kernels(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_narrow_bitflip_past_crc_agrees_with_reference(self, workers,
+                                                           narrow_chunked_payload,
+                                                           table_form):
+        # a stream narrower than _MIN_VECTOR_CHUNKS runs the scalar loop
+        # itself, in a one-shot decode and in a streaming consumer; both
+        # must raise exactly when the oracle does and otherwise return the
+        # oracle's symbols
+        _, payload = narrow_chunked_payload
+        coder = HuffmanCoder()
+        for i in range(_bits_at(payload), len(payload)):
+            mutated = bytearray(payload)
+            mutated[i] ^= 1 << (i % 8)
+            mutated = _refresh_crc(bytes(mutated))
+            consumer = coder.stream_consumer(max_workers=workers)
+            try:
+                expected = _scalar_reference(mutated, table_form)
+            except ValueError:
+                with pytest.raises(ValueError, match="corrupt Huffman stream"):
+                    coder.decode(mutated, max_workers=workers)
+                with pytest.raises(ValueError, match="corrupt Huffman stream"):
+                    consumer.feed(mutated)
+                    consumer.finish()
+                continue
+            np.testing.assert_array_equal(coder.decode(mutated, max_workers=workers),
+                                          expected)
+            consumer.feed(mutated)
+            np.testing.assert_array_equal(consumer.finish(), expected)
+
+    @pytest.mark.parametrize("form", sorted(_TABLE_FORMS))
+    def test_stall_at_chunk_boundary_rejected_by_both_kernels(self, form):
         # codes "0" and "10"; windows starting "11" are no codeword.  The
         # chunk declares 4 symbols but its 4 bits hold 2, and the bits after
         # it (a burst's edge, say) start "11": the row walk stalls exactly at
@@ -312,7 +389,8 @@ class TestCorruption:
         bit_bytes, offsets, counts, ends = band
         with pytest.raises(ValueError, match="boundary"):
             HuffmanCoder._decode_scalar(bit_bytes, offsets, counts, np.array([0]), ends,
-                                        table_sym.tolist(), table_len.tolist(),
+                                        _TABLE_FORMS[form](table_sym),
+                                        _TABLE_FORMS[form](table_len),
                                         np.empty(4, dtype=np.int64))
 
     def test_bad_magic_rejected(self, coder, chunked_payload):

@@ -60,6 +60,26 @@ class TestBlockPredictors:
         direct, _ = block_regression_predictor(blocks)
         np.testing.assert_allclose(rebuilt, direct, atol=1e-10)
 
+    def test_regression_reuses_means_and_buffer(self):
+        rng = np.random.default_rng(1)
+        blocks = rng.normal(size=(6, 16))
+        _, means = block_mean_predictor(blocks)
+        buffer = np.empty_like(blocks)
+        pred, coef = block_regression_predictor(blocks, means[:, 0], out=buffer)
+        assert pred is buffer
+        fresh_pred, fresh_coef = block_regression_predictor(blocks)
+        np.testing.assert_array_equal(pred, fresh_pred)
+        np.testing.assert_array_equal(coef, fresh_coef)
+
+    def test_regression_predicts_from_stored_coefficients(self):
+        # the coefficients are what a payload stores, and the predictions
+        # are exactly what a decoder rebuilds from them
+        rng = np.random.default_rng(2)
+        blocks = rng.normal(size=(4, 10)) + np.arange(10) * 1e-3
+        pred, coef = block_regression_predictor(blocks)
+        assert coef.dtype == np.float32
+        np.testing.assert_array_equal(pred, predictions_from_regression(coef, 10))
+
     def test_single_column_block(self):
         blocks = np.array([[5.0], [7.0]])
         pred, _ = block_regression_predictor(blocks)

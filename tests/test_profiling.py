@@ -178,17 +178,24 @@ class TestFanOutEquivalence:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="speedup needs more than one core")
     def test_process_fanout_beats_serial_on_multicore(self, rng):
-        data = {f"w{i}": rng.normal(size=40_000).astype(np.float32) for i in range(4)}
-        start = time.perf_counter()
-        CodecProfiler(sample_limit=None, candidates=("sz3",),
-                      error_bounds=(1e-2, 1e-3, 1e-4)).profile_tensors(data)
-        serial_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        CodecProfiler(sample_limit=None, candidates=("sz3",),
-                      error_bounds=(1e-2, 1e-3, 1e-4), backend="process",
-                      workers=os.cpu_count()).profile_tensors(data)
-        process_wall = time.perf_counter() - start
-        assert process_wall < serial_wall
+        # 4 x 300k floats make the serial run (~1 s on 2 cores) over 10x a
+        # process pool's start-up (~0.05-0.08 s); at 4 x 40k floats the two
+        # were the same size and the comparison was a coin toss.  Trials
+        # alternate sides, and the minimum of 3 per side discounts a trial
+        # that a busy host slowed down.
+        data = {f"w{i}": rng.normal(size=300_000).astype(np.float32) for i in range(4)}
+
+        def wall(**backend) -> float:
+            start = time.perf_counter()
+            CodecProfiler(sample_limit=None, candidates=("sz3",),
+                          error_bounds=(1e-2, 1e-3, 1e-4), **backend).profile_tensors(data)
+            return time.perf_counter() - start
+
+        serial, process = [], []
+        for _ in range(3):
+            serial.append(wall())
+            process.append(wall(backend="process", workers=os.cpu_count()))
+        assert min(process) < min(serial)
 
 
 # ---------------------------------------------------------------------------

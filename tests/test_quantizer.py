@@ -52,6 +52,33 @@ class TestQuantize:
         with pytest.raises(ValueError):
             LinearQuantizer(radius=0)
 
+    @pytest.mark.parametrize("outlier", [False, True])
+    def test_out_buffers_match_fresh_arrays(self, outlier):
+        # SZ2 quantizes and dequantizes tile by tile into its full arrays
+        rng = np.random.default_rng(2)
+        data = rng.normal(0, 1, 3000)
+        predictions = data + rng.normal(0, 0.01, 3000)
+        if outlier:
+            data[17] = 1e9
+        quantizer = LinearQuantizer(radius=255)
+        fresh = quantizer.quantize(data, predictions, 1e-3)
+        codes = np.full(3000, -7, dtype=np.int64)
+        work = np.full(3000, np.nan)
+        into = quantizer.quantize(data, predictions, 1e-3, out=codes, work=work)
+        assert into.codes is codes and into.reconstructed is work
+        np.testing.assert_array_equal(codes, fresh.codes)
+        assert work.tobytes() == fresh.reconstructed.tobytes()
+        np.testing.assert_array_equal(into.outliers, fresh.outliers)
+        assert into.outliers.size == int(outlier)
+        values = np.empty(3000)
+        got = quantizer.dequantize(codes, fresh.outliers, predictions, 1e-3, out=values)
+        assert got is values
+        assert values.tobytes() == fresh.reconstructed.tobytes()
+
+    def test_empty_input(self):
+        q = LinearQuantizer().quantize(np.zeros(0), np.zeros(0), 0.1)
+        assert q.codes.size == 0 and q.outliers.size == 0
+
     def test_dequantize_missing_outliers_raises(self):
         quantizer = LinearQuantizer(radius=1)
         codes = np.array([0, 0])
